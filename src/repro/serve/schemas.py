@@ -106,6 +106,21 @@ def _reject_unknown(data: Dict[str, Any], kind: str) -> None:
         )
 
 
+def _pop_int(data: Dict[str, Any], name: str, kind: str) -> int:
+    """Pop an optional integer field of a request (default 0).
+
+    Only a JSON integer is accepted: a float is not silently truncated,
+    a bool is not read as 0/1, and a string is not parsed.
+    """
+    value = data.pop(name, 0)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ClaraError(
+            f"{kind} {name!r} must be an integer, got"
+            f" {type(value).__name__}"
+        )
+    return value
+
+
 def _pop_target(data: Dict[str, Any], kind: str) -> Optional[str]:
     """Pop and validate the optional ``target`` field of a request.
 
@@ -145,7 +160,7 @@ class AnalyzeRequest:
                 "analyze_request needs an 'element' name"
             )
         workload = workload_from_dict(data.pop("workload", {}) or {})
-        trace_seed = int(data.pop("trace_seed", 0))
+        trace_seed = _pop_int(data, "trace_seed", cls.kind)
         target = _pop_target(data, cls.kind)
         _reject_unknown(data, cls.kind)
         return cls(element=element, workload=workload,
@@ -249,7 +264,7 @@ class ColocationRequest:
                 "colocation_request needs an 'elements' list of names"
             )
         workload = workload_from_dict(data.pop("workload", {}) or {})
-        trace_seed = int(data.pop("trace_seed", 0))
+        trace_seed = _pop_int(data, "trace_seed", cls.kind)
         _reject_unknown(data, cls.kind)
         return cls(elements=tuple(elements), workload=workload,
                    trace_seed=trace_seed)

@@ -123,6 +123,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "clara-serve/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket.  Responses go out as two
+    # writes (headers, then body); on a kept-alive connection Nagle
+    # holds the body until the client ACKs the headers, which the
+    # client delays ~40 ms because it has nothing to send meanwhile.
+    disable_nagle_algorithm = True
 
     # set by ClaraServer on the *server* object; typed here for clarity.
     @property
@@ -143,6 +148,8 @@ class _Handler(BaseHTTPRequestHandler):
         request_id = current_request_id()
         if request_id is not None:
             self.send_header("X-Clara-Request-Id", request_id)
+        if self.close_connection:  # tell a keep-alive client up front
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -150,7 +157,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, (dump_envelope(env) + "\n").encode("utf-8"))
 
     def _read_json(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        if not re.fullmatch(r"[0-9]+", header.strip()):
+            # The body's extent is unknown, so the connection cannot be
+            # reused; checked before any read (``read(-5)`` reads to EOF).
+            self.close_connection = True
+            raise ClaraError(
+                f"invalid Content-Length {header!r} (expected a"
+                " non-negative integer)"
+            )
+        length = int(header)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ClaraError("empty request body (expected JSON)")

@@ -110,6 +110,23 @@ class TestAnalyzeRequest:
                 {"element": "aggcounter", "target": 7}
             )
 
+    @pytest.mark.parametrize("seed", ["x", "3", 1.5, 2.0, True, False,
+                                      None, [1]])
+    def test_non_integer_trace_seed_rejected(self, seed):
+        # No parsing, truncation, or bool-as-int: only a JSON integer.
+        with pytest.raises(ClaraError, match="'trace_seed' must be an"
+                                             " integer") as info:
+            AnalyzeRequest.from_dict(
+                {"element": "aggcounter", "trace_seed": seed}
+            )
+        assert type(info.value) is ClaraError  # plain 400, not a 500
+
+    def test_integer_trace_seed_accepted(self):
+        for seed in (0, 7, -3, 2**40):
+            assert AnalyzeRequest.from_dict(
+                {"element": "aggcounter", "trace_seed": seed}
+            ).trace_seed == seed
+
 
 class TestLintRequest:
     def test_round_trip(self):
@@ -208,6 +225,14 @@ class TestColocationRequest:
     def test_missing_elements_rejected(self):
         with pytest.raises(ClaraError, match="elements"):
             ColocationRequest.from_dict({})
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, True])
+    def test_non_integer_trace_seed_rejected(self, seed):
+        with pytest.raises(ClaraError, match="'trace_seed' must be an"
+                                             " integer"):
+            ColocationRequest.from_dict({
+                "elements": ["aggcounter", "udpcount"], "trace_seed": seed,
+            })
 
 
 class TestDispatch:

@@ -7,8 +7,12 @@ batched inference returns exactly the sequential answers, and every
 ``ClaraError`` maps to its documented HTTP status.
 """
 
+import http.client as httpclient
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -123,6 +127,43 @@ class TestHealthAndMetrics:
         assert "http_requests_total" in text
         assert "http_request_seconds" in text
         assert "http_inflight_requests" in text
+
+
+class TestKeepAlive:
+    """A reused connection must not pay a delayed-ACK stall per
+    response: the handler writes headers and body separately, and
+    without TCP_NODELAY Nagle holds the body back ~40 ms."""
+
+    def test_keepalive_responses_are_not_stalled(self, server):
+        conn = httpclient.HTTPConnection(server.host, server.port,
+                                         timeout=30)
+        latencies_ms = []
+        try:
+            for _ in range(15):
+                start = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                resp.read()
+                latencies_ms.append((time.perf_counter() - start) * 1e3)
+                assert resp.status == 200
+                assert not resp.will_close  # one connection throughout
+        finally:
+            conn.close()
+        assert statistics.median(latencies_ms) < 20.0, latencies_ms
+
+    def test_accepted_sockets_have_tcp_nodelay(self, server, monkeypatch):
+        handler_cls = server._httpd.RequestHandlerClass
+        original_setup = handler_cls.setup
+        seen = []
+
+        def setup(handler):
+            original_setup(handler)
+            seen.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(handler_cls, "setup", setup)
+        http(server, "/healthz")
+        assert seen and all(seen)
 
 
 class TestCliParity:
@@ -329,6 +370,35 @@ class TestErrorMapping:
         )
         assert status == 400
         assert "CL001" in body_json(body)["error"]["message"]
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1.5"])
+    def test_malformed_content_length_is_400(self, server, length):
+        conn = httpclient.HTTPConnection(server.host, server.port,
+                                         timeout=30)
+        try:
+            conn.putrequest("POST", "/v1/analyze")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders(b'{"element": "aggcounter"}')
+            resp = conn.getresponse()
+            body = resp.read()
+        finally:
+            conn.close()
+        assert resp.status == 400
+        # The body's extent is unknown, so the server drops the
+        # connection and says so.
+        assert resp.getheader("Connection") == "close"
+        error = body_json(body)["error"]
+        assert error["type"] == "ClaraError"
+        assert "Content-Length" in error["message"]
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, True])
+    def test_non_integer_trace_seed_is_400(self, server, seed):
+        status, _headers, body = http(server, "/v1/analyze", payload={
+            "element": "aggcounter", "trace_seed": seed,
+        })
+        assert status == 400
+        assert "trace_seed" in body_json(body)["error"]["message"]
 
 
 class TestRequestCorrelation:
