@@ -20,6 +20,7 @@ evaluation benchmarks against naive porting and expert emulation.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -64,6 +65,20 @@ from repro.workload.spec import WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.colocation import ColocationAdvisor, NFCandidate
+
+#: Latency histogram with one series per analyze stage (``stage`` label =
+#: the stage's span name), so an operator can see which stage a slow
+#: analyze spent its time in.
+STAGE_HISTOGRAM = "analyze_stage_seconds"
+
+
+@contextmanager
+def _stage(name: str, **attrs):
+    """One analyze stage: its span, timed into :data:`STAGE_HISTOGRAM`."""
+    with observe_latency(STAGE_HISTOGRAM, stage=name), \
+            span(name, **attrs) as sp:
+        yield sp
+
 
 log = get_logger(__name__)
 
@@ -382,8 +397,8 @@ class Clara:
         trace_seed: int = 0,
     ) -> ExecutionProfile:
         """Run the NF on the host against the workload (Section 4.3)."""
-        with span("profile_on_host", nf=prepared.name,
-                  workload=spec.name) as sp:
+        with _stage("profile_on_host", nf=prepared.name,
+                    workload=spec.name) as sp:
             interp = Interpreter(prepared.module, seed=trace_seed)
             if prepared.element is not None:
                 install_state(interp, initial_state(prepared.element))
@@ -421,20 +436,20 @@ class Clara:
                 observe_latency("analyze_latency_seconds",
                                 buckets=DEFAULT_BUCKETS):
             get_metrics().counter("analyze_runs").inc()
-            with span("prepare") as sp:
+            with _stage("prepare") as sp:
                 prepared = prepare_element(element)
                 sp.set("n_blocks", len(prepared.blocks))
             profile = self.profile_on_host(prepared, spec, state, trace_seed)
-            with span("characterize"):
+            with _stage("characterize"):
                 workload = characterize(spec, hierarchy=self.nic.hierarchy)
 
-            with span("predict") as sp:
+            with _stage("predict") as sp:
                 report = self.predictor.advise(prepared, profile, workload)
                 report.workload_name = spec.name
                 sp.set("n_insights", len(report.insights))
 
             # Accelerator opportunities (Section 4.1).
-            with span("identify") as sp:
+            with _stage("identify") as sp:
                 accelerators = self.identifier.advise(
                     prepared, profile, workload
                 )
@@ -450,7 +465,7 @@ class Clara:
                 report.insights[-1].value = {"accel": label, "blocks": blocks}
 
             # Scale-out suggestion (Section 4.2).
-            with span("scaleout") as sp:
+            with _stage("scaleout") as sp:
                 cores = self.scaleout.advise(
                     prepared, profile, workload,
                     block_compute=report.predicted_compute,
@@ -459,7 +474,7 @@ class Clara:
             report.add("scaleout", "cores", cores, detail="GBDT cost model")
 
             # State placement (Section 4.3).
-            with span("placement") as sp:
+            with _stage("placement") as sp:
                 solution = self.placement.advise(prepared, profile, workload)
                 sp.set("method", solution.method)
             for name, region in solution.assignment.items():
@@ -469,7 +484,7 @@ class Clara:
                 )
 
             # Coalescing (Section 4.4).
-            with span("coalescing") as sp:
+            with _stage("coalescing") as sp:
                 plan = self.coalescing.advise(prepared, profile, workload)
                 sp.set("n_packs", len(plan.packs))
             for pack in plan.packs:
@@ -481,7 +496,7 @@ class Clara:
                 )
 
             # Offload lint (static portability diagnostics).
-            with span("lint") as sp:
+            with _stage("lint") as sp:
                 lint = lint_module(prepared.module, target=self.nic.target)
                 report.diagnostics = list(lint.diagnostics)
                 sp.set("n_diagnostics", len(lint.diagnostics))

@@ -11,6 +11,8 @@ hottest ``k`` of ``n`` flows is the share of traffic those flows carry,
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.nic.machine import WorkloadCharacter
@@ -19,7 +21,10 @@ from repro.nic.targets import resolve_target
 from repro.workload.spec import WorkloadSpec
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def _harmonic(n: int, alpha: float) -> float:
+    """Generalized harmonic number ``H_alpha(n)`` (memoized: every
+    analysis of a workload asks for the same few)."""
     ranks = np.arange(1, max(n, 1) + 1, dtype=float)
     if alpha <= 0.0:
         return float(n)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from typing import List
 
 import numpy as np
@@ -10,13 +11,19 @@ from repro.click.packet import Packet
 from repro.workload.spec import WorkloadSpec
 
 
+@functools.lru_cache(maxsize=4, typed=True)
 def _zipf_weights(n: int, alpha: float) -> np.ndarray:
+    """Zipf flow-popularity weights, shared (read-only) across traces:
+    every ``small_flows`` trace would otherwise rebuild the same
+    200 000-entry table."""
     ranks = np.arange(1, n + 1, dtype=float)
     if alpha <= 0.0:
         weights = np.ones(n)
     else:
         weights = ranks ** (-alpha)
-    return weights / weights.sum()
+    weights = weights / weights.sum()
+    weights.flags.writeable = False
+    return weights
 
 
 def save_trace(packets: List[Packet], path: str) -> None:

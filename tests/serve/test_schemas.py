@@ -43,6 +43,39 @@ class TestWorkloadWire:
         with pytest.raises(InvalidWorkloadError):
             workload_from_dict({"n_flows": 0})
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("n_packets", 1.5, "n_packets must be an integer, got float"),
+        ("n_flows", 1e12, "n_flows must be an integer, got float"),
+        ("n_flows", True, "n_flows must be an integer, got bool"),
+        ("packet_bytes", "256", "packet_bytes must be an integer, got str"),
+        ("payload_bytes", None, "payload_bytes must be an integer"),
+        ("n_flows", 10**12, "n_flows must be <= 1_000_000"),
+        ("n_packets", 100_001, "n_packets must be <= 100_000"),
+        ("packet_bytes", 70_000, "packet_bytes must be <= 65_535"),
+        ("payload_bytes", -1, "payload_bytes must be >= 0"),
+        ("zipf_alpha", "1.0", "zipf_alpha must be a number, got str"),
+        ("zipf_alpha", float("nan"), "zipf_alpha must be finite"),
+        ("zipf_alpha", 10**400, "zipf_alpha must be within"),
+        ("syn_fraction", float("inf"), "syn_fraction must be finite"),
+        ("udp_fraction", False, "udp_fraction must be a number, got bool"),
+        ("name", 7, "name must be a string, got int"),
+    ])
+    def test_wrong_typed_or_oversized_fields_are_invalid(self, field, value,
+                                                         match):
+        with pytest.raises(InvalidWorkloadError, match=match):
+            workload_from_dict({field: value})
+        # The Python API gives the same error as the wire.
+        with pytest.raises(InvalidWorkloadError, match=match):
+            WorkloadSpec(**{field: value})
+
+    def test_caps_are_inclusive(self):
+        from repro.workload.spec import MAX_FLOWS, MAX_PACKETS
+
+        spec = workload_from_dict({"n_flows": MAX_FLOWS,
+                                   "n_packets": MAX_PACKETS,
+                                   "zipf_alpha": 0})
+        assert (spec.n_flows, spec.n_packets) == (MAX_FLOWS, MAX_PACKETS)
+
 
 class TestAnalyzeRequest:
     def test_round_trip(self):

@@ -129,6 +129,25 @@ class TestHealthAndMetrics:
         assert "http_inflight_requests" in text
 
 
+    def test_metrics_has_a_latency_histogram_per_analyze_stage(self, server):
+        from repro.core.pipeline import STAGE_HISTOGRAM
+        from repro.obs import validate_exposition
+
+        status, _headers, _body = http(server, "/v1/analyze", payload={
+            "element": "aggcounter", "workload": {"n_packets": 5},
+        })
+        assert status == 200
+        _status, _headers, body = http(server, "/metrics")
+        text = body.decode("utf-8")
+        assert validate_exposition(text) == []
+        samples = [line for line in text.splitlines()
+                   if line.startswith(STAGE_HISTOGRAM + "_count")]
+        for stage in ("prepare", "profile_on_host", "characterize",
+                      "predict", "identify", "scaleout", "placement",
+                      "coalescing", "lint"):
+            assert any(f'stage="{stage}"' in line for line in samples), stage
+
+
 class TestKeepAlive:
     """A reused connection must not pay a delayed-ACK stall per
     response: the handler writes headers and body separately, and
@@ -310,6 +329,24 @@ class TestErrorMapping:
         })
         assert status == 400
         assert body_json(body)["error"]["type"] == "InvalidWorkloadError"
+
+    @pytest.mark.parametrize("workload,match", [
+        ({"n_packets": 1.5}, "n_packets must be an integer"),
+        ({"n_flows": 1e12}, "n_flows must be an integer"),
+        ({"n_flows": 10**12}, "n_flows must be <= 1_000_000"),
+        ({"n_packets": 10**6}, "n_packets must be <= 100_000"),
+        ({"zipf_alpha": "skewed"}, "zipf_alpha must be a number"),
+    ])
+    def test_wrong_typed_or_oversized_workload_is_400(self, server, workload,
+                                                      match):
+        status, _headers, body = http(server, "/v1/analyze", payload={
+            "element": "aggcounter", "workload": workload,
+        })
+        assert status == 400
+        error = body_json(body)["error"]
+        assert error["type"] == "InvalidWorkloadError"
+        assert match in error["message"]
+        assert "Traceback" not in error["message"]
 
     def test_unknown_workload_field_is_400(self, server):
         status, _headers, body = http(server, "/v1/analyze", payload={
