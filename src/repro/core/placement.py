@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.nic.regions import MemoryHierarchy
 from repro.nic.targets import resolve_target
@@ -60,6 +59,11 @@ class PlacementSolution:
 
 def solve_ilp(problem: PlacementProblem) -> PlacementSolution:
     """Exact ILP solution (Section 4.3 formulation)."""
+    # Imported here: scipy.optimize costs ~0.6 s to import, and most
+    # processes (``clara lint``, a daemon until its first analyze)
+    # never solve an ILP.
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     k = len(problem.names)
     regions = problem.regions
     t = len(regions)

@@ -30,6 +30,7 @@ __all__ = [
     "LINT_EXIT_ERROR",
     "LINT_EXIT_WARNING",
     "NotTrainedError",
+    "PayloadTooLargeError",
     "UnknownElementError",
     "UnknownTargetError",
     "http_status_for",
@@ -94,6 +95,13 @@ class ArtifactCacheMiss(ArtifactError):
     http_status = 503
 
 
+class PayloadTooLargeError(ClaraError):
+    """A request body is larger than ``clara serve`` accepts."""
+
+    exit_code = 13
+    http_status = 413
+
+
 #: ``clara lint`` exit statuses (not exceptions — lint findings are a
 #: result, not a failure): 0 means clean or notes only,
 #: :data:`LINT_EXIT_WARNING` means warnings but no errors, and
@@ -124,6 +132,7 @@ EXIT_CODES = {
         NotTrainedError,
         ArtifactError,
         ArtifactCacheMiss,
+        PayloadTooLargeError,
     )
 }
 
@@ -141,6 +150,7 @@ HTTP_STATUSES = {
         NotTrainedError,
         ArtifactError,
         ArtifactCacheMiss,
+        PayloadTooLargeError,
     )
 }
 

@@ -46,6 +46,7 @@ from repro.serve.schemas import (
 from repro.serve.server import (
     DEFAULT_HOST,
     DEFAULT_PORT,
+    MAX_BODY_BYTES,
     ClaraServer,
     ServeConfig,
     build_server,
@@ -59,6 +60,7 @@ __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "LintRequest",
+    "MAX_BODY_BYTES",
     "PredictBroker",
     "ServeConfig",
     "WIRE_SCHEMA",

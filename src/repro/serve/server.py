@@ -48,7 +48,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.errors import ClaraError, http_status_for
+from repro.errors import ClaraError, PayloadTooLargeError, http_status_for
 from repro.obs import (
     RequestContext,
     Tracer,
@@ -76,12 +76,18 @@ from repro.serve.schemas import (
     error_envelope,
 )
 
-__all__ = ["DEFAULT_HOST", "DEFAULT_PORT", "ClaraServer", "ServeConfig"]
+__all__ = ["DEFAULT_HOST", "DEFAULT_PORT", "MAX_BODY_BYTES", "ClaraServer",
+           "ServeConfig"]
 
 log = get_logger(__name__)
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8787
+
+#: Largest request body the daemon reads (1 MiB).  The largest valid
+#: request, a colocation ranking over every library element, is under
+#: 1 KiB.
+MAX_BODY_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -167,6 +173,13 @@ class _Handler(BaseHTTPRequestHandler):
                 " non-negative integer)"
             )
         length = int(header)
+        if length > MAX_BODY_BYTES:
+            # Refused unread, so the rest of the stream is not a request.
+            self.close_connection = True
+            raise PayloadTooLargeError(
+                f"request body of {length} bytes exceeds the"
+                f" {MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ClaraError("empty request body (expected JSON)")

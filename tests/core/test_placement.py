@@ -175,6 +175,8 @@ class TestAdvisor:
         assert solution.assignment["counter"] != "emem"
         # The multi-MB flow table only fits in EMEM.
         assert solution.assignment["flow_table"] == "emem"
+        # Solved exactly, not by the greedy fallback.
+        assert solution.method == "ilp"
 
     def test_advisor_handles_stateless_nf(self, lowered_library):
         from repro.click.interp import ExecutionProfile
@@ -192,3 +194,24 @@ class TestAdvisor:
             PlacementProblem(["a"], [4], [-1.0])
         with pytest.raises(ValueError):
             PlacementProblem(["a", "b"], [4], [1.0, 1.0])
+
+
+class TestLazySolverImport:
+    def test_entry_points_do_not_import_scipy_optimize(self):
+        """scipy.optimize costs ~0.6 s to import; only the ILP solve
+        needs it, so the CLI, the daemon and the pipeline load
+        without it."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "import repro.serve, repro.core.pipeline, repro.cli\n"
+            "assert 'scipy.optimize' not in sys.modules,"
+            " sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "from repro.core.placement import PlacementProblem, solve_ilp\n"
+            "sol = solve_ilp(PlacementProblem(['a'], [64], [1.0]))\n"
+            "assert sol.method == 'ilp', sol\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=120)

@@ -148,6 +148,38 @@ class TestHealthAndMetrics:
             assert any(f'stage="{stage}"' in line for line in samples), stage
 
 
+    def test_memo_hit_still_counts_lint_diagnostics_and_stage(self, server):
+        """A repeat analyze answers lint from the static memo, but its
+        diagnostics and its lint stage are still counted per request."""
+        from repro.core.pipeline import STAGE_HISTOGRAM
+
+        def scrape():
+            text = http(server, "/metrics")[2].decode("utf-8")
+            stage = [line for line in text.splitlines() if line.startswith(
+                STAGE_HISTOGRAM + '_count{stage="lint"}')]
+            diags = sum(
+                float(line.rsplit(" ", 1)[1])
+                for line in text.splitlines()
+                if line.startswith("lint_diagnostics{")
+            )
+            return float(stage[0].rsplit(" ", 1)[1]) if stage else 0.0, diags
+
+        clara = server.service.clara
+        clara.clear_static_memo()
+        stages0, diags0 = scrape()
+        payload = {"element": "iplookup", "workload": {"n_packets": 5}}
+        assert http(server, "/v1/analyze", payload=payload)[0] == 200
+        stages1, diags1 = scrape()
+        assert len(clara._static_memo) == 1
+        assert http(server, "/v1/analyze", payload=payload)[0] == 200
+        stages2, diags2 = scrape()
+        assert len(clara._static_memo) == 1  # the second was a hit
+        per_analyze = diags1 - diags0
+        assert per_analyze > 0
+        assert diags2 - diags0 == 2 * per_analyze
+        assert (stages1 - stages0, stages2 - stages0) == (1, 2)
+
+
 class TestKeepAlive:
     """A reused connection must not pay a delayed-ACK stall per
     response: the handler writes headers and body separately, and
@@ -428,6 +460,40 @@ class TestErrorMapping:
         error = body_json(body)["error"]
         assert error["type"] == "ClaraError"
         assert "Content-Length" in error["message"]
+
+    def test_oversized_body_is_413_before_any_read(self, server):
+        from repro.serve import MAX_BODY_BYTES
+
+        conn = httpclient.HTTPConnection(server.host, server.port,
+                                         timeout=30)
+        try:
+            conn.putrequest("POST", "/v1/analyze")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            # Only a fraction is sent: the server must answer from the
+            # header alone instead of waiting for the rest.
+            conn.endheaders(b'{"element": "aggcounter"')
+            resp = conn.getresponse()
+            body = resp.read()
+        finally:
+            conn.close()
+        assert resp.status == 413
+        assert resp.getheader("Connection") == "close"
+        error = body_json(body)["error"]
+        assert error["type"] == "PayloadTooLargeError"
+        assert error["http_status"] == 413
+        assert str(MAX_BODY_BYTES) in error["message"]
+
+    def test_body_at_the_cap_is_read(self, server):
+        from repro.serve import MAX_BODY_BYTES
+
+        payload = json.dumps({"element": "aggcounter",
+                              "workload": {"n_packets": 5}})
+        # Trailing whitespace is valid JSON, so this body is exactly
+        # the cap.
+        raw = payload.ljust(MAX_BODY_BYTES).encode("utf-8")
+        status, _headers, body = http(server, "/v1/analyze", raw=raw)
+        assert status == 200, body
 
     @pytest.mark.parametrize("seed", ["x", 1.5, True])
     def test_non_integer_trace_seed_is_400(self, server, seed):
